@@ -22,12 +22,13 @@
 //!   PROBE_BW/PROBE_RTT, a 10-round windowed-max bandwidth filter, a 10 s
 //!   min-RTT filter, and pacing at `gain × btl_bw`;
 //! * [`bbr2::Bbr2`] — BBR v2 per the IETF-104/105/106 iccrg decks the paper
-//!   cites: adds loss-bounded `inflight_hi`/`inflight_lo` and the
+//!   cites: adds a loss-learned `inflight_hi` ceiling and the
 //!   DOWN/CRUISE/REFILL/UP probing cycle;
-//! * [`bbr3::Bbr3`] — BBR v3 per the IETF-117/119 iccrg updates: shallower
-//!   DOWN probe, round-bounded cruise, and a per-episode loss response
-//!   anchored at measured inflight. Not in the paper's matrix (see
-//!   [`CcKind::PAPER`]); it serves the AQM/fairness follow-up experiments.
+//! * [`Bbr2::v3`](bbr2::Bbr2::v3) — BBR v3 per the IETF-117/119 iccrg
+//!   updates, on the same state machine: shallower DOWN probe,
+//!   round-bounded cruise, and a per-episode loss response anchored at
+//!   measured inflight. Not in the paper's matrix (see [`CcKind::PAPER`]);
+//!   it serves the AQM/fairness follow-up experiments.
 //!
 //! [`master::Master`] wraps any of them with the paper's §5 "master BBR
 //! kernel module" knobs: disable the model computation, fix the cwnd, fix
@@ -43,7 +44,6 @@
 
 pub mod bbr;
 pub mod bbr2;
-pub mod bbr3;
 pub mod cubic;
 pub mod group;
 pub mod master;
@@ -203,7 +203,7 @@ impl CcKind {
             CcKind::Cubic => Box::new(cubic::Cubic::new()),
             CcKind::Bbr => Box::new(bbr::Bbr::new(mss)),
             CcKind::Bbr2 => Box::new(bbr2::Bbr2::new(mss)),
-            CcKind::Bbr3 => Box::new(bbr3::Bbr3::new(mss)),
+            CcKind::Bbr3 => Box::new(bbr2::Bbr2::v3(mss)),
         }
     }
 }

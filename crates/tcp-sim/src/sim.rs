@@ -537,7 +537,7 @@ impl StackSim {
             let inner: Box<dyn CongestionControl> = match kind {
                 CcKind::Bbr => Box::new(congestion::bbr::Bbr::new(MSS).with_cycle_offset(i)),
                 CcKind::Bbr2 => Box::new(congestion::bbr2::Bbr2::new(MSS).with_probe_offset(i)),
-                CcKind::Bbr3 => Box::new(congestion::bbr3::Bbr3::new(MSS).with_probe_offset(i)),
+                CcKind::Bbr3 => Box::new(congestion::bbr2::Bbr2::v3(MSS).with_probe_offset(i)),
                 other => other.build(MSS),
             };
             Master::new(inner, cfg.master)
